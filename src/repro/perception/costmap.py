@@ -9,9 +9,12 @@ CostmapGen node:
 * **inflation layer** — exponentially decaying cost around every
   lethal cell out to the inflation radius, so planners keep clearance.
 
-The inflation pass is fully vectorized: one distance transform
+A scan update touches every beam at once, with no Python loop over
+beams: :func:`~repro.world.raycast.bresenham_fan` walks all beams'
+lines in lockstep, one boolean write clears every traced cell, and one
+more marks the returns. The inflation pass is one distance transform
 (:func:`scipy.ndimage.distance_transform_edt`) plus a masked
-exponential, per the HPC guide's no-Python-loops rule.
+exponential.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy import ndimage
 from repro.world.geometry import Pose2D
 from repro.world.grid import CellState, OccupancyGrid
 from repro.world.lidar import LidarScan
-from repro.world.raycast import bresenham_cells
+from repro.world.raycast import bresenham_fan
 
 
 class CostValues:
@@ -101,57 +104,45 @@ class LayeredCostmap:
         self._recompute()
 
     def update_from_scan(self, scan: LidarScan, pose: Pose2D) -> None:
-        """Obstacle-layer update: mark returns, clear along beams.
+        """Obstacle-layer update: clear along beams, then mark returns.
 
         ``pose`` is the sensor pose the scan was taken from (the
-        localization estimate, not ground truth).
+        localization estimate, not ground truth). A return clears the
+        cells up to its own and marks that one lethal; a max-range beam
+        clears out to ``range_max``. A beam shorter than ``range_min`` says
+        nothing about the world, so it neither marks nor clears (as in
+        ``costmap_2d``).
         """
         res = self.resolution
         r0 = int(np.floor((pose.y - self.origin.y) / res + 0.5))
         c0 = int(np.floor((pose.x - self.origin.x) / res + 0.5))
 
-        m = scan.valid_mask()
-        world_angles = scan.angles[m] + pose.theta
-        ranges = scan.ranges[m]
+        hit = scan.valid_mask()
+        traced = hit | (scan.ranges >= scan.range_max - 1e-9)
+        hit = hit[traced]
+        world_angles = scan.angles[traced] + pose.theta
+        ranges = np.where(hit, scan.ranges[traced], scan.range_max * 0.999)
         ex = pose.x + ranges * np.cos(world_angles)
         ey = pose.y + ranges * np.sin(world_angles)
-        rows_hit = np.floor((ey - self.origin.y) / res + 0.5).astype(np.int64)
-        cols_hit = np.floor((ex - self.origin.x) / res + 0.5).astype(np.int64)
+        end_rows = np.floor((ey - self.origin.y) / res + 0.5).astype(np.int64)
+        end_cols = np.floor((ex - self.origin.x) / res + 0.5).astype(np.int64)
 
-        # Clear along each beam (Python loop over beams, numpy inside):
-        for rh, ch in zip(rows_hit, cols_hit):
-            cells = bresenham_cells(r0, c0, int(rh), int(ch))
-            if len(cells) > 1:
-                rr, cc = cells[:-1, 0], cells[:-1, 1]
-                ok = (rr >= 0) & (rr < self.rows) & (cc >= 0) & (cc < self.cols)
-                self._obstacle_lethal[rr[ok], cc[ok]] = False
+        # Clear every traced cell in one write, then mark the returns:
+        # a return's own cell is cleared and marked again, ending lethal.
+        rows, cols, n_cells = bresenham_fan(r0, c0, end_rows, end_cols)
+        k = np.arange(rows.shape[0])[:, None]
+        clear = (k < n_cells) & self._in_bounds(rows, cols)
+        self._obstacle_lethal[rows[clear], cols[clear]] = False
 
-        # Also clear along max-range beams (free space, no obstacle).
-        miss = ~m
-        if miss.any():
-            miss_angles = scan.angles[miss] + pose.theta
-            mr = scan.range_max * 0.999
-            mex = pose.x + mr * np.cos(miss_angles)
-            mey = pose.y + mr * np.sin(miss_angles)
-            mrows = np.floor((mey - self.origin.y) / res + 0.5).astype(np.int64)
-            mcols = np.floor((mex - self.origin.x) / res + 0.5).astype(np.int64)
-            for rh, ch in zip(mrows, mcols):
-                cells = bresenham_cells(r0, c0, int(rh), int(ch))
-                rr, cc = cells[:, 0], cells[:, 1]
-                ok = (rr >= 0) & (rr < self.rows) & (cc >= 0) & (cc < self.cols)
-                self._obstacle_lethal[rr[ok], cc[ok]] = False
-
-        # Mark hits lethal (vectorized).
-        ok = (
-            (rows_hit >= 0)
-            & (rows_hit < self.rows)
-            & (cols_hit >= 0)
-            & (cols_hit < self.cols)
-        )
+        rows_hit, cols_hit = end_rows[hit], end_cols[hit]
+        ok = self._in_bounds(rows_hit, cols_hit)
         self._obstacle_lethal[rows_hit[ok], cols_hit[ok]] = True
 
         self.updates += 1
         self._recompute()
+
+    def _in_bounds(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (rows >= 0) & (rows < self.rows) & (cols >= 0) & (cols < self.cols)
 
     def _recompute(self) -> None:
         lethal = self._static_lethal | self._obstacle_lethal

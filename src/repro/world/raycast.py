@@ -1,10 +1,16 @@
-"""Vectorized ray casting against occupancy grids.
+"""Vectorized ray casting and line tracing on occupancy grids.
 
-Per the HPC guides, the hot loop is expressed as numpy array
-operations: all rays are marched simultaneously in fixed world-space
-steps of half a cell, and each iteration does a single fancy-indexed
-lookup into the grid. Rays that have already hit are masked out so no
-Python-level per-ray loop exists.
+Both kernels work on every beam at once, with no Python loop over
+beams:
+
+* :func:`cast_rays` samples all rays in one pass. Sample points lie
+  every half cell along each ray; a running sum down the steps builds
+  the whole (steps × beams) block of points, one fancy-indexed lookup
+  classifies every point, and ``argmax`` finds each ray's first hit.
+* :func:`bresenham_fan` traces integer Bresenham lines from one cell
+  to many endpoints, stepping every line's error accumulator in
+  lockstep, so the loop runs once per cell of the longest line
+  instead of once per cell of every line.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ def cast_rays(
     Parameters
     ----------
     grid:
-        The map to cast against.
+        The map to cast against. Cells off the grid count as occupied.
     x, y:
         Ray origin in world meters.
     angles:
@@ -53,71 +59,79 @@ def cast_rays(
     step = 0.5 * grid.resolution
     n_steps = int(np.ceil(max_range / step)) + 1
 
-    dx = np.cos(angles) * step
-    dy = np.sin(angles) * step
+    # pts[0] holds x, pts[1] y; along axis 1, step 0 is the origin and
+    # steps 1.. the per-step increment. The running sum adds strictly
+    # in step order, so step i is the origin plus i successive
+    # increments, rounded exactly as a marching loop would round them.
+    pts = np.empty((2, n_steps + 1, n))
+    pts[0, 0] = x
+    pts[1, 0] = y
+    pts[0, 1:] = np.cos(angles) * step
+    pts[1, 1:] = np.sin(angles) * step
+    np.add.accumulate(pts, axis=1, out=pts)
 
-    px = np.full(n, x, dtype=np.float64)
-    py = np.full(n, y, dtype=np.float64)
+    # World -> cell for every sample point at once (steps 1..n_steps).
+    pts = pts[:, 1:]
+    pts -= np.array([grid.origin.x, grid.origin.y])[:, None, None]
+    pts /= grid.resolution
+    pts += 0.5
+    np.floor(pts, out=pts)
+    c, r = pts.astype(np.int64)
+
+    oob = (r < 0) | (r >= grid.rows) | (c < 0) | (c >= grid.cols)
+    flat = r * grid.cols + c
+    flat[oob] = 0
+    vals = np.take(grid.data, flat)
+
+    hit = oob | (vals == int(CellState.OCCUPIED))  # world border is solid
+    if hit_unknown:
+        hit |= vals == int(CellState.UNKNOWN)
+
+    first = hit.argmax(axis=0)
     ranges = np.full(n, max_range, dtype=np.float64)
-    alive = np.ones(n, dtype=bool)
-
-    occupied = int(CellState.OCCUPIED)
-    unknown = int(CellState.UNKNOWN)
-    res = grid.resolution
-    ox, oy = grid.origin.x, grid.origin.y
-    rows, cols = grid.rows, grid.cols
-    data = grid.data
-
-    for i in range(1, n_steps + 1):
-        if not alive.any():
-            break
-        px[alive] += dx[alive]
-        py[alive] += dy[alive]
-
-        idx = np.nonzero(alive)[0]
-        r = np.floor((py[idx] - oy) / res + 0.5).astype(np.int64)
-        c = np.floor((px[idx] - ox) / res + 0.5).astype(np.int64)
-
-        oob = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-        vals = np.empty(idx.shape[0], dtype=np.int8)
-        vals[oob] = occupied  # world border is solid
-        inb = ~oob
-        vals[inb] = data[r[inb], c[inb]]
-
-        hit = vals == occupied
-        if hit_unknown:
-            hit |= vals == unknown
-
-        if hit.any():
-            hit_idx = idx[hit]
-            ranges[hit_idx] = np.minimum(i * step, max_range)
-            alive[hit_idx] = False
-
+    stopped = hit[first, np.arange(n)]
+    ranges[stopped] = np.minimum((first[stopped] + 1) * step, max_range)
     return ranges
 
 
-def bresenham_cells(r0: int, c0: int, r1: int, c1: int) -> np.ndarray:
-    """All grid cells on the segment (r0,c0)->(r1,c1), endpoints included.
+def bresenham_fan(
+    r0: int, c0: int, r1: np.ndarray, c1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer Bresenham lines from cell (r0, c0) to every (r1[j], c1[j]).
 
-    Classic integer Bresenham; used by SLAM to mark free space along a
-    beam. Returns an (K, 2) int64 array of [row, col].
+    Used by the costmap to clear free space along every beam of a scan.
+    Each line is the classic all-octant Bresenham walk, endpoints
+    included; all lines advance one cell per iteration.
+
+    Returns
+    -------
+    ``(rows, cols, n_cells)``: line ``j`` visits ``(rows[k, j],
+    cols[k, j])`` for ``k < n_cells[j]``, which is
+    ``max(|r1 - r0|, |c1 - c0|) + 1``. ``rows`` and ``cols`` are
+    (K, N) int64 arrays, K the longest line's cell count; entries past
+    a line's end are meaningless.
     """
-    cells = []
-    dr = abs(r1 - r0)
-    dc = abs(c1 - c0)
-    sr = 1 if r1 >= r0 else -1
-    sc = 1 if c1 >= c0 else -1
+    r1 = np.asarray(r1, dtype=np.int64)
+    c1 = np.asarray(c1, dtype=np.int64)
+    dr = np.abs(r1 - r0)
+    dc = np.abs(c1 - c0)
+    sr = np.where(r1 >= r0, 1, -1)
+    sc = np.where(c1 >= c0, 1, -1)
+    n_cells = np.maximum(dr, dc) + 1
+
+    k = int(n_cells.max(initial=1))
+    rows = np.empty((k, r1.shape[0]), dtype=np.int64)
+    cols = np.empty((k, r1.shape[0]), dtype=np.int64)
+    rows[0] = r0
+    cols[0] = c0
     err = dc - dr
-    r, c = r0, c0
-    while True:
-        cells.append((r, c))
-        if r == r1 and c == c1:
-            break
-        e2 = 2 * err
-        if e2 > -dr:
-            err -= dr
-            c += sc
-        if e2 < dc:
-            err += dc
-            r += sr
-    return np.asarray(cells, dtype=np.int64)
+    neg_dr = -dr
+    for i in range(1, k):
+        e2 = err + err
+        step_c = e2 > neg_dr
+        step_r = e2 < dc
+        err -= dr * step_c
+        err += dc * step_r
+        np.add(cols[i - 1], sc * step_c, out=cols[i])
+        np.add(rows[i - 1], sr * step_r, out=rows[i])
+    return rows, cols, n_cells

@@ -76,6 +76,31 @@ class TestLayeredCostmap:
         cm.update_from_scan(scan2, Pose2D(3.0, 4.0, 0.0))
         assert cm.cost_at_world(4.9, 4.0) < CostValues.LETHAL
 
+    def test_beam_below_range_min_keeps_obstacle(self):
+        # A noiseless scan 8 cm from a pillar: the forward beam returns
+        # 0.075 m < range_min. It carries no information, so it must not
+        # clear the pillar face an earlier scan marked lethal.
+        from benchmarks._legacy_perception import update_from_scan as legacy_update
+
+        world = open_world(5.0)
+        world.fill_rect_world(2.9, 2.4, 3.1, 2.6, CellState.OCCUPIED)
+        lidar = Lidar(world, rng=None)
+        far, near = Pose2D(2.0, 2.5, 0.0), Pose2D(2.8, 2.5, 0.0)
+        near_scan = lidar.scan(near)
+        forward = int(np.argmin(np.abs(near_scan.angles)))
+        assert near_scan.ranges[forward] < near_scan.range_min
+
+        new = LayeredCostmap(static_map=open_world(5.0))
+        old = LayeredCostmap(static_map=open_world(5.0))
+        for cm in (new, old):
+            cm.update_from_scan(lidar.scan(far), far)
+            assert cm.cost_at_world(2.9, 2.5) == CostValues.LETHAL
+
+        new.update_from_scan(near_scan, near)
+        legacy_update(old, near_scan, near)
+        assert new.cost_at_world(2.9, 2.5) == CostValues.LETHAL
+        assert old.cost_at_world(2.9, 2.5) < CostValues.LETHAL  # the old bug
+
     def test_out_of_bounds_is_lethal(self):
         cm = LayeredCostmap(static_map=open_world(5.0))
         assert cm.cost_at_world(-10.0, 0.0) == CostValues.LETHAL

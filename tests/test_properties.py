@@ -224,3 +224,112 @@ class TestParallelEquivalence:
         with ParallelScorer(threads) as ps:
             parallel = ps.score(traj, dwa)
         assert np.array_equal(serial, parallel)
+
+
+@st.composite
+def grids(draw):
+    """A small grid at a random offset with OCCUPIED/UNKNOWN/FREE rectangles."""
+    from repro.world.grid import CellState, OccupancyGrid
+
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    res = draw(st.sampled_from([0.05, 0.07, 0.1]))
+    origin = Pose2D(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    fill = draw(st.sampled_from([CellState.FREE, CellState.UNKNOWN]))
+    grid = OccupancyGrid.empty(rows, cols, res, origin, fill=fill)
+    for _ in range(draw(st.integers(0, 5))):
+        r0, c0 = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        r1, c1 = draw(st.integers(r0, rows - 1)), draw(st.integers(c0, cols - 1))
+        state = draw(st.sampled_from(list(CellState)))
+        grid.data[r0 : r1 + 1, c0 : c1 + 1] = int(state)
+    return grid
+
+
+def points_around(grid, margin=1.0):
+    """World coordinates on and up to ``margin`` m beyond the grid.
+
+    Half the draws sit on the half-cell lattice, where axis-aligned and
+    diagonal rays graze cell boundaries and any change in how sample
+    points round shows up as a different cell.
+    """
+    half = 0.5 * grid.resolution
+    n_margin = int(margin / half)
+
+    def axis(lo, cells):
+        return st.one_of(
+            st.floats(lo - margin, lo + cells * grid.resolution + margin),
+            st.integers(-n_margin, 2 * cells + n_margin).map(lambda k: lo + k * half),
+        )
+
+    return st.tuples(axis(grid.origin.x, grid.cols), axis(grid.origin.y, grid.rows))
+
+
+headings = st.one_of(
+    st.floats(-10.0, 10.0), st.integers(-16, 16).map(lambda k: k * np.pi / 4)
+)
+
+
+class TestPerceptionKernelEquivalence:
+    """The all-beam kernels equal the frozen per-beam reference exactly."""
+
+    @given(grids(), st.data(), st.lists(headings, min_size=1, max_size=90), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_cast_rays_matches_legacy(self, grid, data, angles, hit_unknown):
+        from benchmarks._legacy_perception import cast_rays as legacy_cast_rays
+        from repro.world.raycast import cast_rays
+
+        x, y = data.draw(points_around(grid))
+        max_range = data.draw(st.floats(0.01, 4.0))
+        angles = np.array(angles)
+        new = cast_rays(grid, x, y, angles, max_range, hit_unknown=hit_unknown)
+        old = legacy_cast_rays(grid, x, y, angles, max_range, hit_unknown=hit_unknown)
+        assert new.tobytes() == old.tobytes()
+
+    def test_cast_rays_matches_legacy_on_grazing_rays(self):
+        """Axis-aligned and diagonal rays from half-cell lattice points.
+
+        Every sample point of these rays lies on a cell boundary, so
+        the looked-up cell depends on the last bit of each coordinate:
+        sample points must be accumulated exactly as the marching loop
+        accumulated them, not computed as ``origin + i * step``.
+        """
+        from benchmarks._legacy_perception import cast_rays as legacy_cast_rays
+        from repro.world.maps import box_world
+        from repro.world.raycast import cast_rays
+
+        grid = box_world(3.0)
+        half = 0.5 * grid.resolution
+        angles = np.arange(-8, 8) * np.pi / 4
+        for i in range(2, 2 * grid.rows - 2, 11):
+            for j in range(2, 2 * grid.cols - 2, 11):
+                x, y = j * half, i * half
+                new = cast_rays(grid, x, y, angles, 3.5)
+                old = legacy_cast_rays(grid, x, y, angles, 3.5)
+                assert new.tobytes() == old.tobytes(), (x, y)
+
+    @given(grids(), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_costmap_clearing_matches_legacy(self, grid, data, seed):
+        import copy
+
+        from benchmarks._legacy_perception import update_from_scan as legacy_update
+        from repro.perception.costmap import LayeredCostmap
+        from repro.world.lidar import LidarScan
+
+        rng = seeded_rng(seed)
+        new = LayeredCostmap(static_map=grid)
+        new._obstacle_lethal = rng.random(new._obstacle_lethal.shape) < 0.5
+        old = copy.deepcopy(new)
+
+        n = data.draw(st.integers(1, 360))
+        range_min, range_max = 0.12, data.draw(st.floats(0.5, 3.5))
+        ranges = rng.uniform(range_min, range_max, size=n)
+        ranges[rng.random(n) < data.draw(st.floats(0.0, 1.0))] = range_max
+        angles = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        x, y = data.draw(points_around(grid))
+        pose = Pose2D(x, y, data.draw(st.floats(-10.0, 10.0)))
+        scan = LidarScan(ranges, angles, range_min, range_max, pose)
+
+        new.update_from_scan(scan, pose)
+        legacy_update(old, scan, pose)
+        assert np.array_equal(new._obstacle_lethal, old._obstacle_lethal)
+        assert np.array_equal(new.cost, old.cost)

@@ -24,7 +24,7 @@ from repro.world import (
     rot2d,
     transform_points,
 )
-from repro.world.raycast import bresenham_cells
+from repro.world.raycast import bresenham_fan
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -209,7 +209,8 @@ class TestRaycast:
 
     @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
     def test_bresenham_endpoints_and_connectivity(self, r0, c0, r1, c1):
-        cells = bresenham_cells(r0, c0, r1, c1)
+        rows, cols, n_cells = bresenham_fan(r0, c0, np.array([r1]), np.array([c1]))
+        cells = np.stack([rows[: n_cells[0], 0], cols[: n_cells[0], 0]], axis=1)
         assert tuple(cells[0]) == (r0, c0)
         assert tuple(cells[-1]) == (r1, c1)
         steps = np.abs(np.diff(cells, axis=0))
