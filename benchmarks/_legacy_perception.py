@@ -1,8 +1,8 @@
-"""Frozen per-beam perception kernels, kept verbatim for reference.
+"""Frozen perception kernels, kept verbatim for reference.
 
-These are lidar ray casting and costmap clearing exactly as they
-shipped before the all-beam rewrite: ``cast_rays`` marching every ray
-through a masked Python loop of small numpy calls, the scalar
+The first group is lidar ray casting and costmap clearing exactly as
+they shipped before the all-beam rewrite: ``cast_rays`` marching every
+ray through a masked Python loop of small numpy calls, the scalar
 pure-Python ``bresenham_cells``, and ``LayeredCostmap.update_from_scan``
 walking one Bresenham line per beam — including the bug the rewrite
 fixed, where a beam shorter than ``range_min`` is treated as a
@@ -15,8 +15,19 @@ exist for two reasons:
 * ``tests/test_perception.py`` shows that the below-``range_min``
   regression erases an obstacle here and keeps it in the new code.
 
+The second group is GMapping's per-particle ``scanMatch`` and map
+integration exactly as they shipped before the lockstep rewrite:
+``scan_match`` hill-climbing one particle at a time, calling ``score``
+once per pose candidate (~445 small calls per scan at 30 particles),
+and ``map_update`` deduplicating cell indices with ``np.unique``
+before each write. They take the filter as ``self`` so they read its
+config. ``tests/test_properties.py`` requires the lockstep climb to
+reproduce every particle's pose bytes and ``repr(match_score)``, and
+the ``np.unique``-free integration every map byte, on random maps,
+poses and scans.
+
 Do not "fix" or modernize anything here — its value is that it stays
-exactly what shipped before the rewrite.
+exactly what shipped before each rewrite.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perception.costmap import LayeredCostmap
-from repro.world.geometry import Pose2D
+from repro.perception.gmapping import L_CLAMP, L_FREE, L_OCC, GMapping, Particle
+from repro.world.geometry import Pose2D, normalize_angle
 from repro.world.grid import CellState, OccupancyGrid
 from repro.world.lidar import LidarScan
 
@@ -192,3 +204,104 @@ def update_from_scan(self: LayeredCostmap, scan: LidarScan, pose: Pose2D) -> Non
 
     self.updates += 1
     self._recompute()
+
+
+def scan_match(self: GMapping, p: Particle, ranges: np.ndarray, angles: np.ndarray) -> None:
+    """``GMapping._scan_match`` as it shipped, on ``self``.
+
+    Hill-climbing pose refinement against the particle's own map.
+
+    This is the paper's 98%-of-SLAM-time hot spot.
+    """
+    if len(ranges) == 0 or self.scans_processed == 0:
+        p.match_score = 0.0
+        return
+    cfg = self.config
+    step_t, step_r = cfg.search_step_m, cfg.search_step_rad
+    pose = p.pose.copy()
+    best = score(self, p.log_odds, pose, ranges, angles)
+    for _ in range(cfg.search_rounds):
+        improved = True
+        while improved:
+            improved = False
+            for d in (
+                (step_t, 0.0, 0.0),
+                (-step_t, 0.0, 0.0),
+                (0.0, step_t, 0.0),
+                (0.0, -step_t, 0.0),
+                (0.0, 0.0, step_r),
+                (0.0, 0.0, -step_r),
+            ):
+                cand = pose + np.asarray(d)
+                s = score(self, p.log_odds, cand, ranges, angles)
+                if s > best:
+                    best, pose = s, cand
+                    improved = True
+        step_t *= 0.5
+        step_r *= 0.5
+    pose[2] = normalize_angle(pose[2])
+    p.pose = pose
+    p.match_score = best / max(len(ranges), 1)
+
+
+def score(self: GMapping, log_odds, pose, ranges, angles) -> float:
+    """``GMapping._score`` as it shipped, on ``self``.
+
+    Endpoint-occupancy score of a pose candidate (vectorized).
+    """
+    cfg = self.config
+    th = pose[2] + angles
+    ex = pose[0] + ranges * np.cos(th)
+    ey = pose[1] + ranges * np.sin(th)
+    r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
+    c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
+    ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
+    if not ok.any():
+        return -1e9
+    lo = log_odds[r[ok], c[ok]]
+    # occupancy probability of each endpoint cell
+    probs = 1.0 / (1.0 + np.exp(-lo))
+    return float(np.sum(probs) - 0.5 * np.sum(~ok))
+
+
+def map_update(self: GMapping, p: Particle, ranges, angles, range_max: float) -> None:
+    """``GMapping._map_update`` as it shipped, on ``self``.
+
+    Vectorized beam integration into one particle's log-odds map.
+
+    All beams are sampled simultaneously at half-cell steps; free
+    cells get one batched decrement, endpoint cells one batched
+    increment.
+    """
+    if len(ranges) == 0:
+        return
+    cfg = self.config
+    pose = p.pose
+    th = pose[2] + angles
+    cth, sth = np.cos(th), np.sin(th)
+
+    step = cfg.resolution
+    n_steps = int(np.ceil(ranges.max() / step))
+    if n_steps >= 1:
+        # distances (S,) x beams (B,) -> (S, B) sample points
+        ts = (np.arange(n_steps) + 0.5) * step
+        live = ts[:, None] < (ranges[None, :] - 0.5 * step)
+        px = pose[0] + ts[:, None] * cth[None, :]
+        py = pose[1] + ts[:, None] * sth[None, :]
+        r = np.floor((py - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
+        c = np.floor((px - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
+        ok = live & (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
+        flat = np.unique(r[ok] * cfg.cols + c[ok])
+        p.log_odds.ravel()[flat] = np.maximum(
+            p.log_odds.ravel()[flat] + np.float32(L_FREE), -L_CLAMP
+        )
+
+    ex = pose[0] + ranges * cth
+    ey = pose[1] + ranges * sth
+    r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
+    c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
+    ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
+    flat = np.unique(r[ok] * cfg.cols + c[ok])
+    p.log_odds.ravel()[flat] = np.minimum(
+        p.log_odds.ravel()[flat] + np.float32(L_OCC), L_CLAMP
+    )

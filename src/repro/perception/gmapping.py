@@ -5,12 +5,15 @@ Each particle carries a pose hypothesis and its own occupancy map
 
 1. motion update from odometry (sampled noise, per-particle RNG);
 2. ``scanMatch`` — hill-climbing pose refinement of every particle
-   against its own map (the paper measures 98% of SLAM time here);
+   against its own map (the paper measures 98% of SLAM time here),
+   run as one lockstep climb over all particles: each step scores the
+   next candidate of every still-climbing particle in one batch, and
+   each particle visits exactly the candidates it would visit alone;
 3. ``updateTreeWeights`` — weight normalization + Neff;
 4. selective ``resample`` when Neff drops;
 5. map integration of the scan into every particle's map.
 
-The per-particle work is vectorized over beams; particles own
+Map integration is vectorized over beams; particles own
 independent RNG streams so the thread-parallel subclass
 (:class:`~repro.perception.gmapping_parallel.ParallelGMapping`)
 produces bit-identical maps to the serial filter.
@@ -57,6 +60,12 @@ class GMappingConfig:
             raise ValueError("n_particles must be >= 1")
         if self.match_beams < 1 or self.map_beams < 1:
             raise ValueError("beam counts must be >= 1")
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("rows and cols must be >= 1")
+        if self.resolution <= 0:
+            raise ValueError("resolution must be positive")
+        if self.search_rounds < 0:
+            raise ValueError("search_rounds must be >= 0")
 
 
 @dataclass
@@ -68,17 +77,6 @@ class Particle:
     weight: float
     rng: np.random.Generator
     match_score: float = 0.0
-
-    def copy_from(self, other: Particle) -> None:
-        """Adopt another particle's state (used by resampling).
-
-        The RNG stream is *not* copied — each slot keeps its own
-        stream, preserving determinism under any resample pattern.
-        """
-        self.pose = other.pose.copy()
-        self.log_odds = other.log_odds.copy()
-        self.weight = other.weight
-        self.match_score = other.match_score
 
 
 class GMapping:
@@ -159,59 +157,85 @@ class GMapping:
     def _scan_match_all(self, ranges, angles, indices) -> None:
         """Run scanMatch for the given particle indices (hook point for
         the thread-parallel subclass)."""
-        for i in indices:
-            self._scan_match(self.particles[i], ranges, angles)
+        self._match_lockstep([self.particles[i] for i in indices], ranges, angles)
 
-    def _scan_match(self, p: Particle, ranges: np.ndarray, angles: np.ndarray) -> None:
-        """Hill-climbing pose refinement against the particle's own map.
+    def _match_lockstep(self, particles: list[Particle], ranges, angles) -> None:
+        """Hill-climbing pose refinement of each particle against its own
+        map, all particles climbing in lockstep.
 
-        This is the paper's 98%-of-SLAM-time hot spot.
+        This is the paper's 98%-of-SLAM-time hot spot. Each particle
+        climbs exactly as it would alone: from its pose, try the six
+        moves of ``_moves`` in order, taking each one that raises the
+        score; repeat the pass until a whole pass improves nothing, then
+        move on to the next, halved step size. Climbs differ in length,
+        so every step advances each unfinished particle by one candidate
+        and scores all of those candidates in one batch.
         """
         if len(ranges) == 0 or self.scans_processed == 0:
-            p.match_score = 0.0
+            for p in particles:
+                p.match_score = 0.0
             return
         cfg = self.config
-        step_t, step_r = cfg.search_step_m, cfg.search_step_rad
-        pose = p.pose.copy()
-        best = self._score(p.log_odds, pose, ranges, angles)
-        for _ in range(cfg.search_rounds):
-            improved = True
-            while improved:
-                improved = False
-                for d in (
-                    (step_t, 0.0, 0.0),
-                    (-step_t, 0.0, 0.0),
-                    (0.0, step_t, 0.0),
-                    (0.0, -step_t, 0.0),
-                    (0.0, 0.0, step_r),
-                    (0.0, 0.0, -step_r),
-                ):
-                    cand = pose + np.asarray(d)
-                    s = self._score(p.log_odds, cand, ranges, angles)
-                    if s > best:
-                        best, pose = s, cand
-                        improved = True
-            step_t *= 0.5
-            step_r *= 0.5
-        pose[2] = normalize_angle(pose[2])
-        p.pose = pose
-        p.match_score = best / max(len(ranges), 1)
+        n = len(particles)
+        # scanMatch only reads the maps: one (n, rows*cols) snapshot a scan
+        maps = np.stack([p.log_odds.ravel() for p in particles])
+        pose = np.stack([p.pose for p in particles])
+        best = self._score_batch(maps, np.arange(n), pose, ranges, angles)
+        moves = _moves(cfg.search_step_m, cfg.search_step_rad, cfg.search_rounds)
+        step_round = np.zeros(n, dtype=np.int64)
+        move = np.zeros(n, dtype=np.int64)
+        improved = np.zeros(n, dtype=bool)
+        live = np.arange(n if cfg.search_rounds > 0 else 0)
+        while live.size:
+            cand = pose[live] + moves[step_round[live], move[live]]
+            s = self._score_batch(maps, live, cand, ranges, angles)
+            up = s > best[live]
+            won = live[up]
+            pose[won] = cand[up]
+            best[won] = s[up]
+            improved[won] = True
+            move[live] += 1
+            passed = live[move[live] == moves.shape[1]]
+            move[passed] = 0
+            step_round[passed[~improved[passed]]] += 1
+            improved[passed] = False
+            live = live[step_round[live] < cfg.search_rounds]
+        for k, p in enumerate(particles):
+            p.pose = pose[k].copy()
+            p.pose[2] = normalize_angle(p.pose[2])
+            p.match_score = float(best[k]) / len(ranges)
 
-    def _score(self, log_odds, pose, ranges, angles) -> float:
-        """Endpoint-occupancy score of a pose candidate (vectorized)."""
+    def _score_batch(self, maps, which, poses, ranges, angles) -> np.ndarray:
+        """Endpoint-occupancy score of pose candidate ``poses[k]``
+        against the map ``maps[which[k]]``, for every k.
+
+        Each candidate's score is bit-identical to scoring it alone: the
+        elementwise math is the same; a candidate with every endpoint on
+        the grid sums its float32 probabilities in the same pairwise
+        order; one with some endpoints off the grid sums only its
+        on-grid ones, then takes 0.5 per off-grid endpoint; one with
+        none on the grid scores -1e9.
+        """
         cfg = self.config
-        th = pose[2] + angles
-        ex = pose[0] + ranges * np.cos(th)
-        ey = pose[1] + ranges * np.sin(th)
+        th = poses[:, 2:3] + angles
+        ex = poses[:, 0:1] + ranges * np.cos(th)
+        ey = poses[:, 1:2] + ranges * np.sin(th)
         r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
         c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
         ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-        if not ok.any():
-            return -1e9
-        lo = log_odds[r[ok], c[ok]]
+        flat = np.where(ok, r * cfg.cols + c, 0) + (which * maps.shape[1])[:, None]
+        lo = maps.take(flat)
         # occupancy probability of each endpoint cell
         probs = 1.0 / (1.0 + np.exp(-lo))
-        return float(np.sum(probs) - 0.5 * np.sum(~ok))
+        scores = np.add.reduce(probs, axis=1).astype(np.float64)
+        n_off = ok.shape[1] - np.count_nonzero(ok, axis=1)
+        for k in np.flatnonzero(n_off):
+            if n_off[k] == ok.shape[1]:
+                scores[k] = -1e9
+            else:
+                on_grid = np.add.reduce(probs[k][ok[k]])
+                scores[k] = float(on_grid) - 0.5 * int(n_off[k])
+        return scores
 
     # -- weights / resampling --------------------------------------------
     def _update_tree_weights(self) -> None:
@@ -263,7 +287,8 @@ class GMapping:
 
         All beams are sampled simultaneously at half-cell steps; free
         cells get one batched decrement, endpoint cells one batched
-        increment.
+        increment. A cell that several samples hit is written several
+        times, always with the same value computed from its old one.
         """
         if len(ranges) == 0:
             return
@@ -283,7 +308,7 @@ class GMapping:
             r = np.floor((py - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
             c = np.floor((px - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
             ok = live & (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-            flat = np.unique(r[ok] * cfg.cols + c[ok])
+            flat = r[ok] * cfg.cols + c[ok]
             p.log_odds.ravel()[flat] = np.maximum(
                 p.log_odds.ravel()[flat] + np.float32(L_FREE), -L_CLAMP
             )
@@ -293,7 +318,7 @@ class GMapping:
         r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
         c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
         ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-        flat = np.unique(r[ok] * cfg.cols + c[ok])
+        flat = r[ok] * cfg.cols + c[ok]
         p.log_odds.ravel()[flat] = np.minimum(
             p.log_odds.ravel()[flat] + np.float32(L_OCC), L_CLAMP
         )
@@ -322,6 +347,26 @@ class GMapping:
         """Serialized size of the full particle set (migration cost)."""
         per = self.particles[0].log_odds.nbytes + 3 * 8 + 8
         return len(self.particles) * per
+
+
+def _moves(step_t: float, step_r: float, rounds: int) -> np.ndarray:
+    """The hill climb's moves, ``(rounds, 6, 3)``: +-x, +-y, +-theta,
+    halving both step sizes each round."""
+    table = []
+    for _ in range(rounds):
+        table.append(
+            [
+                (step_t, 0.0, 0.0),
+                (-step_t, 0.0, 0.0),
+                (0.0, step_t, 0.0),
+                (0.0, -step_t, 0.0),
+                (0.0, 0.0, step_r),
+                (0.0, 0.0, -step_r),
+            ]
+        )
+        step_t *= 0.5
+        step_r *= 0.5
+    return np.array(table, dtype=np.float64).reshape(rounds, 6, 3)
 
 
 #: Pose candidates scanMatch evaluates per particle (hill-climb budget).

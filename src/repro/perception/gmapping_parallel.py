@@ -2,12 +2,14 @@
 
 The paper's acceleration: a pool of N threads, each responsible for
 M/N particles' ``scanMatch`` (and here also their map integration —
-both are particle-independent). Because every particle owns a private
-RNG stream, the parallel filter produces *bit-identical* state to the
-serial one; only wall-clock time changes. That property is asserted by
-the test suite and is what lets the modeled speedups of
-:class:`~repro.compute.executor.ExecutionModel` stand in for real
-hardware in the cross-platform figures.
+both are particle-independent). Each thread runs the serial filter's
+lockstep hill climb over its own chunk of particles, so there is one
+scanMatch kernel, not a second parallel one. Because every particle
+owns a private RNG stream, the parallel filter produces
+*bit-identical* state to the serial one; only wall-clock time
+changes. That property is asserted by the test suite and is what lets
+the modeled speedups of :class:`~repro.compute.executor.ExecutionModel`
+stand in for real hardware in the cross-platform figures.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ class ParallelGMapping(GMapping):
         self._pool = WorkerPool(n_threads)
 
     def _scan_match_all(self, ranges, angles, indices) -> None:
-        idx = list(indices)
+        particles = [self.particles[j] for j in indices]
 
         def run_chunk(_i: int, a: int, b: int) -> None:
-            for j in idx[a:b]:
-                self._scan_match(self.particles[j], ranges, angles)
+            self._match_lockstep(particles[a:b], ranges, angles)
 
-        self._pool.map_chunks(run_chunk, len(idx))
+        self._pool.map_chunks(run_chunk, len(particles))
 
     def _map_update_all(self, ranges, angles, range_max, indices) -> None:
         idx = list(indices)

@@ -284,12 +284,15 @@ class TestGMapping:
         assert len(slam.neff_history) == 5
         assert all(1.0 <= n <= 8.0 + 1e-9 for n in slam.neff_history)
 
-    def test_parallel_identical_to_serial(self):
+    @pytest.mark.parametrize("n_particles", [1, 5, 12])
+    def test_parallel_identical_to_serial(self, n_particles):
+        # four threads: 1 particle leaves three threads idle, 5 and 12
+        # split into unequal chunks
         world = box_world(8.0)
         scans, deltas, _ = drive_and_scan(world, Pose2D(2, 2, 0), n=8)
 
         def run(cls, **kw):
-            slam = self.make(cls, **kw)
+            slam = self.make(cls, n_particles=n_particles, **kw)
             for scan, delta in zip(scans, deltas):
                 est = slam.process(scan, delta)
             maps = [p.log_odds.copy() for p in slam.particles]
@@ -302,6 +305,21 @@ class TestGMapping:
         assert e1 == e2
         for a, b in zip(m1, m2):
             assert np.array_equal(a, b)
+
+    def test_process_leaves_python_float_scores_and_fresh_poses(self):
+        # repr(match_score) feeds run digests: an np.float64 score has
+        # the same value but a different repr
+        world = box_world(8.0)
+        scans, deltas, _ = drive_and_scan(world, Pose2D(2, 2, 0), n=3)
+        slam = self.make(n_particles=4)
+        for scan, delta in zip(scans, deltas):
+            slam.process(scan, delta)
+            for p in slam.particles:
+                assert type(p.match_score) is float
+                assert p.pose.dtype == np.float64 and p.pose.shape == (3,)
+                assert p.pose.base is None
+        assert len({id(p.pose) for p in slam.particles}) == len(slam.particles)
+        assert any(p.match_score != 0.0 for p in slam.particles)
 
     def test_state_bytes_scales_with_particles(self):
         s8 = self.make(n_particles=8)
@@ -318,5 +336,16 @@ class TestGMapping:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             GMappingConfig(n_particles=0)
+        with pytest.raises(ValueError):
+            GMappingConfig(rows=0)
+        with pytest.raises(ValueError):
+            GMappingConfig(cols=0)
+        with pytest.raises(ValueError):
+            GMappingConfig(resolution=0.0)
+        with pytest.raises(ValueError):
+            GMappingConfig(resolution=-0.05)
+        with pytest.raises(ValueError):
+            GMappingConfig(search_rounds=-1)
+        GMappingConfig(search_rounds=0)
         with pytest.raises(ValueError):
             ParallelGMapping(GMappingConfig(n_particles=2), n_threads=0)

@@ -333,3 +333,93 @@ class TestPerceptionKernelEquivalence:
         legacy_update(old, scan, pose)
         assert np.array_equal(new._obstacle_lethal, old._obstacle_lethal)
         assert np.array_equal(new.cost, old.cost)
+
+
+@st.composite
+def gmapping_cases(draw):
+    """A filter over a small random map, with particles on, near and far
+    past the grid, and one scan to match or integrate.
+
+    Log-odds are uniform in [-L_CLAMP, L_CLAMP] float32, with some cells
+    pinned at either clamp and some at zero. Beams are shorter than a
+    third of the grid, plus a few 3 m ones in half the scans. Half the
+    particles sit near the middle of the grid, where the short beams
+    stay on it; three in ten land within half a grid of its edges, so
+    some candidates have a few endpoints off the grid; a fifth sit well
+    beyond it, so all their endpoints miss it.
+    """
+    from repro.perception.gmapping import L_CLAMP, GMapping, GMappingConfig
+
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    cfg = GMappingConfig(
+        n_particles=draw(st.integers(1, 30)),
+        rows=rows,
+        cols=cols,
+        resolution=draw(st.sampled_from([0.05, 0.07, 0.1])),
+        origin=Pose2D(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+        search_rounds=draw(st.sampled_from([0, 1, 3])),
+    )
+    rng = seeded_rng(draw(st.integers(0, 2**32 - 1)))
+    slam = GMapping(cfg, rng=rng)
+    extent = np.array([cols, rows]) * cfg.resolution
+    origin = np.array([cfg.origin.x, cfg.origin.y])
+    for p in slam.particles:
+        lo = rng.uniform(-L_CLAMP, L_CLAMP, size=(rows, cols)).astype(np.float32)
+        pick = rng.random((rows, cols))
+        lo[pick < 0.1] = -L_CLAMP
+        lo[pick > 0.9] = L_CLAMP
+        lo[(pick > 0.45) & (pick < 0.55)] = 0.0
+        p.log_odds = lo
+        where = rng.random()
+        if where < 0.5:
+            u = rng.uniform(0.4, 0.6, size=2)
+        elif where < 0.8:
+            u = rng.uniform(-0.5, 1.5, size=2)
+        else:
+            u = np.array([-5.0, 1.0])
+        p.pose = np.array([*(origin + u * extent), rng.uniform(-4.0, 4.0)])
+    n_beams = draw(st.integers(1, 90))
+    angles = np.sort(rng.uniform(-np.pi, np.pi, size=n_beams))
+    ranges = rng.uniform(0.01, extent.min() / 3 + 0.01, size=n_beams)
+    if rng.random() < 0.5:
+        ranges[rng.random(n_beams) < 0.1] = 3.0
+    return slam, ranges, angles
+
+
+class TestGMappingKernelEquivalence:
+    """Lockstep scanMatch and the ``np.unique``-free map integration
+    equal the frozen per-particle reference exactly."""
+
+    @given(gmapping_cases(), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_lockstep_scan_match_matches_legacy(self, case, scans_processed):
+        import copy
+
+        from benchmarks._legacy_perception import scan_match
+
+        slam, ranges, angles = case
+        slam.scans_processed = scans_processed  # 0: the first scan skips matching
+        old = copy.deepcopy(slam)
+        slam._scan_match_all(ranges, angles, range(len(slam.particles)))
+        for p in old.particles:
+            scan_match(old, p, ranges, angles)
+        for new_p, old_p in zip(slam.particles, old.particles):
+            assert new_p.pose.tobytes() == old_p.pose.tobytes()
+            assert repr(new_p.match_score) == repr(old_p.match_score)
+
+    @given(gmapping_cases(), st.floats(0.5, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_map_update_matches_legacy(self, case, range_max):
+        import copy
+
+        from benchmarks._legacy_perception import map_update
+
+        slam, ranges, angles = case
+        # three beams per direction: endpoints and free cells repeat
+        ranges, angles = np.repeat(ranges, 3), np.repeat(angles, 3)
+        old = copy.deepcopy(slam)
+        slam._map_update_all(ranges, angles, range_max, range(len(slam.particles)))
+        for p in old.particles:
+            map_update(old, p, ranges, angles, range_max)
+        for new_p, old_p in zip(slam.particles, old.particles):
+            assert new_p.log_odds.tobytes() == old_p.log_odds.tobytes()
