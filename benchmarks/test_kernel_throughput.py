@@ -1,4 +1,4 @@
-"""Kernel throughput benchmark: calendar-queue kernel vs the old heap.
+"""Kernel throughput benchmark: current kernel vs the old heap.
 
 Measures the current kernel against the *frozen pre-overhaul kernel*
 (``benchmarks/_legacy_kernel.py`` — dataclass events, binary heap,
@@ -47,7 +47,7 @@ import time
 from pathlib import Path
 
 from benchmarks._legacy_kernel import LegacyEventQueue, LegacySimulator
-from repro.sim.events import CalendarEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel_throughput.json"
@@ -188,11 +188,11 @@ def _compare_queues(reps=REPS):
     best_legacy = best_new = 0.0
     ops = 0
     _queue_hold(LegacyEventQueue)
-    _queue_hold(CalendarEventQueue)
+    _queue_hold(EventQueue)
     for _ in range(reps):
         ops, dt = _queue_hold(LegacyEventQueue)
         best_legacy = max(best_legacy, ops / dt)
-        ops, dt = _queue_hold(CalendarEventQueue)
+        ops, dt = _queue_hold(EventQueue)
         best_new = max(best_new, ops / dt)
     return {
         "ops": ops,

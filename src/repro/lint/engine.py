@@ -85,10 +85,6 @@ DEFAULT_ALLOWLIST: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("*/repro/obs/*", ("DET001", "SIM004")),
     # benchmarks measure real compute on real cores
     ("*benchmarks/*", ("DET001", "DET002")),
-    # the kernel/event modules *implement* the slot-reuse lifecycle the
-    # rule protects; their repush sites are the definition, not misuse
-    ("*/repro/sim/kernel.py", ("SIM005",)),
-    ("*/repro/sim/events.py", ("SIM005",)),
     # lint's own docstrings/regexes spell out suppression syntax, which
     # the textual parser cannot tell from real suppressions
     ("*/repro/lint/*", ("LNT001",)),

@@ -13,9 +13,9 @@ per event (dead entries are skipped exactly once, not re-pruned by
 ``peek``/``pop`` pairs), same-time events are fired as a batch under a
 single clock advance, and periodic :class:`Process` ticks re-arm by
 recycling their fired event through
-:meth:`~repro.sim.events._EventQueueBase.repush` instead of paying an
+:meth:`~repro.sim.events.EventQueue.repush` instead of paying an
 allocation plus cancel churn per period. See ``docs/kernel.md`` for
-the scheduler data structure and the event lifecycle contract.
+the event queue and the event lifecycle contract.
 """
 
 from __future__ import annotations
@@ -424,7 +424,7 @@ class Process:
         start_delay: float | None = None,
         on_error: str = "raise",
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
         if on_error not in ON_ERROR_POLICIES:
             raise ValueError(
@@ -502,7 +502,7 @@ class Process:
         defers the already-scheduled firing. Subsequent firings follow
         the new period as usual.
         """
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
         self.period = float(period)
         if self._running and self._event is not None:

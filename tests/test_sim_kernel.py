@@ -1,7 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim import EventQueue, SimClock, Simulator
 from repro.sim.rng import seeded_rng, split_rng
@@ -279,6 +279,17 @@ class TestProcess:
         with pytest.raises(ValueError):
             proc.set_period(-1.0)
 
+    @pytest.mark.parametrize("entry", ["every", "set_period"])
+    def test_nan_period_raises(self, entry):
+        # `nan <= 0` is False: NaN must still be rejected as "not
+        # positive" up front, not surface later as a NaN event time.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="period must be positive"):
+            if entry == "every":
+                sim.every(float("nan"), lambda: None)
+            else:
+                sim.every(1.0, lambda: None).set_period(float("nan"))
+
     def test_set_period_inside_fire_now(self):
         # a callback adapting its own rate during a forced firing must
         # not double-schedule: exactly one pending firing afterwards,
@@ -395,7 +406,7 @@ class TestRng:
 
 
 class TestEventLifecycle:
-    """The PENDING -> FIRED / CANCELLED contract added by the calendar
+    """The PENDING -> FIRED / CANCELLED contract added by the lifecycle
     overhaul: cancellation is safe in every state, recycling is only
     legal for fired events, and handles are namespaced per queue."""
 
@@ -543,9 +554,8 @@ class TestEventLifecycle:
         assert q.pop_due() is None
 
 
-class TestBackendEquivalence:
-    """The calendar queue and the reference heap must pop in an
-    identical (time, seq) order on any workload."""
+class TestPopOrder:
+    """The queue pops in exact (time, seq) order on any workload."""
 
     @given(
         st.lists(
@@ -558,40 +568,49 @@ class TestBackendEquivalence:
             max_size=120,
         )
     )
-    def test_calendar_matches_heap(self, ops):
-        from repro.sim.events import FIRED, CalendarEventQueue, HeapEventQueue
-
-        cal = CalendarEventQueue(bucket_width_s=0.05, n_buckets=64)
-        heap = HeapEventQueue()
-        pairs = []
+    # a recycled slot tying a live event must pop after it (fresh seq)
+    @example([("push_tie", 0.0, 0), ("push_tie", 0.0, 0), ("pop", 0.0, 0), ("repush", 0.0, 0)])
+    def test_matches_list_oracle(self, ops):
+        # Model-based: a plain list of the live (time, seq) pairs is
+        # the oracle; its minimum is the head the queue must report.
+        q = EventQueue()
+        live = []
+        handles = []
         now = 0.0
         for op, dt, pick in ops:
             if op in ("push", "push_tie"):
-                t = now if op == "push_tie" else now + dt
-                pairs.append((cal.push(t, lambda: None), heap.push(t, lambda: None)))
+                ev = q.push(now if op == "push_tie" else now + dt, lambda: None)
+                handles.append(ev)
+                live.append((ev.time, ev.seq))
             elif op == "pop":
-                if cal:
-                    a, b = cal.pop(), heap.pop()
-                    assert (a.time, a.seq) == (b.time, b.seq)
-                    now = max(now, a.time)
-            elif op == "cancel" and pairs:
-                a, b = pairs[pick % len(pairs)]
-                cal.cancel(a)
-                heap.cancel(b)
-            elif op == "repush" and pairs:
-                a, b = pairs[pick % len(pairs)]
-                if a.state == FIRED and b.state == FIRED:
-                    cal.repush(a, now + dt)
-                    heap.repush(b, now + dt)
-            assert len(cal) == len(heap)
-            ca, cb = cal.peek(), heap.peek()
-            assert (ca is None) == (cb is None)
-            if ca is not None:
-                assert (ca.time, ca.seq) == (cb.time, cb.seq)
-        while cal:
-            a, b = cal.pop(), heap.pop()
-            assert (a.time, a.seq) == (b.time, b.seq)
-        assert not heap
+                if live:
+                    ev = q.pop()
+                    expected = min(live)
+                    assert (ev.time, ev.seq) == expected
+                    live.remove(expected)
+                    now = max(now, ev.time)
+            elif op == "cancel" and handles:
+                ev = handles[pick % len(handles)]
+                if ev.pending:
+                    live.remove((ev.time, ev.seq))
+                q.cancel(ev)
+            elif op == "repush" and handles:
+                ev = handles[pick % len(handles)]
+                if ev.fired:
+                    q.repush(ev, now + dt)
+                    live.append((ev.time, ev.seq))
+            assert len(q) == len(live)
+            head = q.peek()
+            if live:
+                assert (head.time, head.seq) == min(live)
+            else:
+                assert head is None
+        for expected in sorted(live):
+            ev = q.pop()
+            assert (ev.time, ev.seq) == expected
+        assert q.peek_time() is None
+        # every cancelled entry was discarded exactly once
+        assert q.pruned == q.cancels
 
     @given(
         st.lists(
@@ -600,19 +619,19 @@ class TestBackendEquivalence:
             max_size=80,
         )
     )
-    def test_calendar_matches_the_frozen_legacy_order(self, times):
+    def test_matches_the_frozen_legacy_order(self, times):
         # Same pop order as what PR 6 shipped (push/pop only: the
         # legacy queue predates safe cancellation semantics).
         from benchmarks._legacy_kernel import LegacyEventQueue
 
-        cal = EventQueue()
+        q = EventQueue()
         legacy = LegacyEventQueue()
         for t in times:
-            cal.push(t, lambda: None)
+            q.push(t, lambda: None)
             legacy.push(t, lambda: None)
         order_new = []
-        while cal:
-            ev = cal.pop()
+        while q:
+            ev = q.pop()
             order_new.append((ev.time, ev.seq))
         order_legacy = []
         while legacy:
