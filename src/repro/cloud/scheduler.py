@@ -6,7 +6,8 @@ two mechanics, selected by its scheduler:
 * **Queueing** (:class:`FifoScheduler`, :class:`EdfScheduler`) — each
   request holds ``min(threads, capacity)`` cores for its full modeled
   execution time; requests that do not fit wait in a queue ordered by
-  the policy (arrival order / earliest absolute deadline). No
+  the policy's sort key, :meth:`Scheduler.key` (``0.0`` for FIFO, the
+  absolute deadline for EDF), with ties kept in arrival order. No
   backfill: the policy's head blocks until it fits, which keeps both
   disciplines starvation-free and easy to reason about.
 * **Processor sharing** (:class:`ProcessorSharingScheduler`) — every
@@ -19,11 +20,16 @@ two mechanics, selected by its scheduler:
 
 When worker-side batching (:mod:`repro.cloud.batching`) is enabled,
 the unit the worker queues and runs is a *batch job*, and the request
-a policy sees through :meth:`Scheduler.pick` is the job's
+a policy sees through :meth:`Scheduler.key` is the job's
 representative — its earliest-absolute-deadline member — so EDF
 treats a batch as exactly as urgent as its most urgent rider. With
 batching disabled (the default) every job carries one request and
 nothing changes.
+
+A worker computes a job's key once, when the job is queued, and keeps
+its queue as a heap ordered by ``(key, arrival)``. :meth:`Scheduler.pick`
+picks from a plain list by the same order (the argmin of
+``(key(queue[i]), i)``), for callers that hold one.
 """
 
 from __future__ import annotations
@@ -43,9 +49,17 @@ class Scheduler:
     #: concurrently at a shared rate (no queue).
     sharing = False
 
+    def key(self, req: TickRequest) -> float:
+        """Sort key of ``req``: lower starts first, ties in arrival order."""
+        raise NotImplementedError
+
     def pick(self, queue: list[TickRequest], now: float) -> int:
         """Index into ``queue`` of the next request to start."""
         raise NotImplementedError
+
+    def _argmin(self, queue: list[TickRequest]) -> int:
+        """The index :meth:`key` order starts first: argmin of ``(key, i)``."""
+        return min(range(len(queue)), key=lambda i: (self.key(queue[i]), i))
 
 
 class FifoScheduler(Scheduler):
@@ -53,8 +67,11 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
+    def key(self, req: TickRequest) -> float:
+        return 0.0
+
     def pick(self, queue: list[TickRequest], now: float) -> int:
-        return 0
+        return self._argmin(queue)
 
 
 class EdfScheduler(Scheduler):
@@ -66,12 +83,11 @@ class EdfScheduler(Scheduler):
 
     name = "edf"
 
+    def key(self, req: TickRequest) -> float:
+        return req.absolute_deadline
+
     def pick(self, queue: list[TickRequest], now: float) -> int:
-        best = 0
-        for i in range(1, len(queue)):
-            if queue[i].absolute_deadline < queue[best].absolute_deadline:
-                best = i
-        return best
+        return self._argmin(queue)
 
 
 class ProcessorSharingScheduler(Scheduler):
@@ -80,7 +96,10 @@ class ProcessorSharingScheduler(Scheduler):
     name = "ps"
     sharing = True
 
-    def pick(self, queue: list[TickRequest], now: float) -> int:  # pragma: no cover
+    def key(self, req: TickRequest) -> float:
+        raise RuntimeError("processor sharing has no queue to order")
+
+    def pick(self, queue: list[TickRequest], now: float) -> int:
         raise RuntimeError("processor sharing has no queue to pick from")
 
 

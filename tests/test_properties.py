@@ -9,7 +9,7 @@ serial and parallel implementations on arbitrary inputs.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.compute.executor import ExecutionModel, SLAM_PROFILE
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY, TURTLEBOT3_PI
@@ -423,3 +423,186 @@ class TestGMappingKernelEquivalence:
             map_update(old, p, ranges, angles, range_max)
         for new_p, old_p in zip(slam.particles, old.particles):
             assert new_p.log_odds.tobytes() == old_p.log_odds.tobytes()
+
+
+def _pool_req(op, seq, now):
+    """The request a ``submit`` op describes, issued ``lag`` before now."""
+    from repro.cloud.request import TickRequest
+
+    _, tenant, cycles, threads, lag, deadline = op
+    return TickRequest(f"r{tenant}", seq, cycles, threads, deadline, now - lag)
+
+
+#: One pool op: submit(tenant, cycles, threads, issue lag, relative
+#: deadline), fire the next event, evict everything (victims are
+#: resubmitted), flush the oldest staging buffer, set fluid background.
+#: Lags and deadlines repeat, so equal absolute deadlines are common.
+pool_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(0, 3),
+            st.sampled_from([4e8, 1.4e9]),
+            st.integers(1, 10),
+            st.sampled_from([0.0, 0.5, 1.0]),
+            st.sampled_from([0.25, 1.0, 2.0]),
+        ),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("evict")),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("background"), st.sampled_from([0.0, 1.5, 4.0, 12.0])),
+    ),
+    max_size=60,
+)
+
+
+class _PoolRun:
+    """One pool worker on its own simulator, logging starts and
+    completions as ``(kind, time, tenant, seq)``."""
+
+    def __init__(self, worker_cls, scheduler, batching):
+        from repro.compute.host import Host
+
+        self.sim = Simulator()
+        self.worker = worker_cls(
+            self.sim, Host("w", EDGE_GATEWAY), scheduler, batching=batching
+        )
+        self.log = []
+        for name in ("_start", "_ps_admit"):
+            setattr(self.worker, name, self._logged(getattr(self.worker, name)))
+
+    def _logged(self, start):
+        def logged(job, *args):
+            for m in job.members:
+                self.log.append(("start", self.sim.now(), m.req.tenant, m.req.seq))
+            start(job, *args)
+
+        return logged
+
+    def done(self, req, t):
+        self.log.append(("done", t, req.tenant, req.seq))
+
+    def apply(self, op, seq):
+        """Run one op; returns the eviction order for ``evict``."""
+        w = self.worker
+        if op[0] == "submit":
+            w.submit(_pool_req(op, seq, self.sim.now()), self.done)
+        elif op[0] == "step":
+            self.sim.step()
+        elif op[0] == "evict":
+            victims = w.evict_all()
+            for req, cb in victims:
+                w.submit(req, cb)
+            return [(req.tenant, req.seq) for req, _ in victims]
+        elif op[0] == "flush":
+            if w._stages:
+                w._flush_stage(next(iter(w._stages)))
+        else:
+            w.set_background(op[1])
+        return None
+
+
+class TestPoolDispatchEquivalence:
+    """The keyed ready heap starts, completes and evicts exactly what
+    the frozen list-queue worker does, and its running totals equal
+    the sums they replace after every op."""
+
+    @pytest.mark.parametrize("batch", [None, 4], ids=["unbatched", "batch4"])
+    @pytest.mark.parametrize("name", ["fifo", "edf", "ps"])
+    @given(ops=pool_ops)
+    @example(
+        # two requests queue behind a third, all due at the same time
+        ops=[("submit", t, 1.4e9, 8, 0.0, 1.0) for t in range(3)]
+        + [("flush",), ("flush",), ("flush",), ("evict",), ("step",), ("step",)],
+    ).via("equal absolute deadlines")
+    @example(
+        # a batch whose first rider is the least urgent: EDF must judge
+        # it by its second rider and start it before the later arrival
+        ops=[("submit", 0, 4e8, 8, 0.0, 2.0), ("flush",),
+             ("submit", 1, 1.4e9, 8, 0.0, 2.0), ("submit", 2, 1.4e9, 8, 0.5, 1.0),
+             ("flush",), ("submit", 3, 4e8, 8, 0.0, 1.0), ("flush",),
+             ("step",), ("step",), ("step",), ("evict",)],
+    ).via("batch judged by its earliest-deadline member")
+    @example(
+        # the later, more urgent arrival tops the heap: eviction still
+        # hands the queued victims back in enqueue order
+        ops=[("submit", 0, 1.4e9, 8, 0.0, 2.0), ("flush",),
+             ("submit", 1, 1.4e9, 8, 0.0, 2.0), ("flush",),
+             ("submit", 2, 1.4e9, 8, 0.0, 0.25), ("flush",), ("evict",)],
+    ).via("eviction in enqueue order")
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_frozen_list_queue(self, name, batch, ops):
+        from benchmarks import _legacy_pool as legacy
+        from repro.cloud.batching import BatchPolicy
+        from repro.cloud.pool import PoolWorker
+        from repro.cloud.scheduler import make_scheduler
+
+        old_sched = {
+            "fifo": legacy.LegacyFifoScheduler,
+            "edf": legacy.LegacyEdfScheduler,
+            "ps": legacy.LegacyProcessorSharingScheduler,
+        }[name]()
+        policy = BatchPolicy(max_size=batch) if batch else None
+        new = _PoolRun(PoolWorker, make_scheduler(name), policy)
+        old = _PoolRun(legacy.LegacyPoolWorker, old_sched, policy)
+        for seq, op in enumerate(ops):
+            assert new.apply(op, seq) == old.apply(op, seq)
+            w = new.worker
+            queued = [j for _, _, j in w._ready]
+            assert w.queue_depth() == sum(j.size for j in queued) + sum(
+                len(s.members) for s in w._stages.values()
+            )
+            assert w.inflight() == sum(j.size for j in w._active)
+            assert w.load() == (
+                sum(j.width for j in w._active) + sum(j.width for j in queued)
+                + w.background_load
+            ) / w.capacity
+            assert (w.load(), w.queue_depth(), w.inflight()) == (
+                old.worker.load(), old.worker.queue_depth(), old.worker.inflight()
+            )
+            assert new.log == old.log
+        new.sim.run()
+        old.sim.run()
+        assert new.log == old.log
+        assert new.worker.host.inflight_threads == old.worker.host.inflight_threads == 0
+        assert new.worker.host.busy_thread_seconds == old.worker.host.busy_thread_seconds
+
+
+class TestSchedulerContract:
+    """``pick`` is the argmin of ``(key, index)``, the order the worker's
+    ready heap pops in, and matches the frozen linear ``pick``."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 10.0)),
+                st.sampled_from([0.25, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from(["fifo", "edf"]),
+    )
+    @settings(max_examples=100)
+    def test_pick_is_the_key_order(self, specs, name):
+        from benchmarks import _legacy_pool as legacy
+        from repro.cloud.request import TickRequest
+        from repro.cloud.scheduler import make_scheduler
+
+        s = make_scheduler(name)
+        q = [TickRequest("r", i, 1e9, 1, d, t) for i, (t, d) in enumerate(specs)]
+        best = min(range(len(q)), key=lambda i: (s.key(q[i]), i))
+        assert s.pick(q, 0.0) == best
+        frozen = {"fifo": legacy.LegacyFifoScheduler, "edf": legacy.LegacyEdfScheduler}
+        assert frozen[name]().pick(q, 0.0) == best
+
+    def test_ps_has_no_order(self):
+        from repro.cloud.request import TickRequest
+        from repro.cloud.scheduler import make_scheduler
+
+        ps = make_scheduler("ps")
+        req = TickRequest("r", 0, 1e9, 1, 0.2, 0.0)
+        with pytest.raises(RuntimeError):
+            ps.key(req)
+        with pytest.raises(RuntimeError):
+            ps.pick([req], 0.0)
